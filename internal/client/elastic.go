@@ -32,9 +32,12 @@ func (c *Client) Convert(key string, from, to proto.MemgestID) (proto.Version, e
 
 // ConvertPrefix bulk-converts every key matching prefix into memgest
 // to. A coordinator only converts the keys of shards it owns, so the
-// client fans the request out to every distinct coordinator and sums
-// the per-node counts. Returns the number of keys converted (partial
-// on error: coordinators already answered have converted their keys).
+// client visits the coordinator of each shard in turn, one at a time,
+// and sums the per-node counts; a coordinator owning several shards is
+// visited once. A retry re-resolves and targets the shard's current
+// coordinator, so a shard that moved mid-bulk (a leave) is converted
+// where it lives now. Returns the number of keys converted (partial on
+// error: coordinators already answered have converted their keys).
 func (c *Client) ConvertPrefix(prefix string, from, to proto.MemgestID) (int, error) {
 	Metrics.Requests.Inc()
 	cfg := c.Config()
@@ -42,20 +45,21 @@ func (c *Client) ConvertPrefix(prefix string, from, to proto.MemgestID) (int, er
 		return 0, fmt.Errorf("client: no configuration")
 	}
 	total := 0
-	seen := make(map[proto.NodeID]bool)
-	for _, id := range cfg.Coords {
-		if seen[id] {
+	done := make([]bool, cfg.Shards())
+	for shard := range done {
+		if done[shard] {
 			continue
 		}
-		seen[id] = true
 		var lastErr error
-		done := false
-		for attempt := 0; attempt <= c.opts.Retries; attempt++ {
+		ok := false
+		for attempt := 0; attempt <= c.opts.Retries && !ok; attempt++ {
 			if attempt > 0 {
 				Metrics.Retries.Inc()
 				_ = c.resolve(nil)
 				time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
+				cfg = c.Config()
 			}
+			id := cfg.Coords[shard]
 			req := c.reqID()
 			reply, err := c.call(core.NodeAddr(id), req,
 				&proto.Convert{Req: req, Key: prefix, From: from, To: to, Prefix: true})
@@ -63,8 +67,8 @@ func (c *Client) ConvertPrefix(prefix string, from, to proto.MemgestID) (int, er
 				lastErr = err
 				continue
 			}
-			r, ok := reply.(*proto.ConvertReply)
-			if !ok {
+			r, isConv := reply.(*proto.ConvertReply)
+			if !isConv {
 				lastErr = fmt.Errorf("client: unexpected reply %T", reply)
 				continue
 			}
@@ -76,10 +80,14 @@ func (c *Client) ConvertPrefix(prefix string, from, to proto.MemgestID) (int, er
 				return total, err
 			}
 			total += int(r.Converted)
-			done = true
-			break
+			for s, owner := range cfg.Coords {
+				if owner == id && s < len(done) {
+					done[s] = true
+				}
+			}
+			ok = true
 		}
-		if !done {
+		if !ok {
 			if lastErr == nil {
 				lastErr = ErrTimeout
 			}

@@ -61,13 +61,30 @@ type parkedOp struct {
 // launched by a bulk (prefix) conversion; the suffix is the bulk id.
 const bulkConvPrefix = "bulkconv/"
 
-// bulkConvert aggregates the per-key outcomes of one prefix convert.
+// bulkWindow caps the transition windows bulk conversions keep open on
+// one node at a time, shared by every active bulk request. Launched all
+// at once, a prefix's keys (over a thousand per coordinator on the
+// benchmark cluster) turn into per-peer packets of as many messages,
+// and every foreground op on the coordinator and its redundancy nodes
+// waits behind them; a bounded window keeps the pipeline full without
+// flooding it.
+const bulkWindow = 128
+
+// bulkConvert is one prefix conversion in progress: the sorted keys it
+// scanned, how far the launch cursor got, and the per-key outcomes
+// aggregated so far.
 type bulkConvert struct {
-	client      string
-	req         proto.ReqID
-	outstanding int
-	converted   uint32
-	failed      proto.Status
+	id       string
+	client   string
+	req      proto.ReqID
+	from, to proto.MemgestID
+	// keys[next:] are still to launch; inflight were launched and have
+	// not settled yet.
+	keys      []string
+	next      int
+	inflight  int
+	converted uint32
+	failed    proto.Status
 }
 
 // parkOnConvert parks a client write that arrived inside the key's
@@ -91,7 +108,9 @@ func (n *Node) handleConvert(from string, m *proto.Convert) {
 		n.handleConvertPrefix(from, m)
 		return
 	}
-	fail := func(s proto.Status) { n.send(from, &proto.ConvertReply{Req: m.Req, Status: s}) }
+	// Replies go through replyStatus: a bulk-launched key that parked on
+	// a window replays here with its internal bulk address.
+	fail := func(s proto.Status) { n.replyStatus(from, m.Req, replyConvert, s, 0) }
 	shard, ok := n.checkClientOp(m.Key, fail)
 	if !ok {
 		return
@@ -254,10 +273,11 @@ func (n *Node) redispatchParked(p parkedOp) {
 	}
 }
 
-// handleConvertPrefix fans a bulk conversion out over every key this
-// node coordinates that matches the prefix. Each key runs the normal
-// single-key transition with an internal reply address; the client gets
-// one aggregated reply once the last key settles.
+// handleConvertPrefix starts a bulk conversion of every key this node
+// coordinates that matches the prefix. The matching keys are queued;
+// pumpBulk launches them through the normal single-key transition with
+// an internal reply address, at most bulkWindow at a time node-wide,
+// and the client gets one aggregated reply once the last key settles.
 func (n *Node) handleConvertPrefix(from string, m *proto.Convert) {
 	fail := func(s proto.Status) { n.send(from, &proto.ConvertReply{Req: m.Req, Status: s}) }
 	if len(n.cfg.Coords) == 0 {
@@ -291,22 +311,64 @@ func (n *Node) handleConvertPrefix(from string, m *proto.Convert) {
 	}
 	id := strconv.FormatUint(n.nextBulkID, 10)
 	n.nextBulkID++
-	n.bulkConverts[id] = &bulkConvert{client: from, req: m.Req, outstanding: len(keys)}
-	replyTo := bulkConvPrefix + id
-	for _, key := range keys {
-		shard := n.shardOf(key)
-		if n.parkOnConvert(shard, key, replyTo, &proto.Convert{Req: m.Req, Key: key, From: m.From, To: m.To}) {
+	bc := &bulkConvert{id: id, client: from, req: m.Req, from: m.From, to: m.To, keys: keys}
+	n.bulkConverts[id] = bc
+	n.bulkQueue = append(n.bulkQueue, bc)
+}
+
+// pumpBulk fills the node's free bulk-window slots from the queued bulk
+// conversions, oldest request first. HandleMessage and HandleTick call
+// it once the event is done, so a slot a commit freed is refilled only
+// after commitEntry broadcast the commit, GC'd the source version and
+// closed the window.
+func (n *Node) pumpBulk() {
+	for len(n.bulkQueue) > 0 && n.bulkOpen < bulkWindow {
+		bc := n.bulkQueue[0]
+		if bc.next == len(bc.keys) {
+			n.bulkQueue[0] = nil
+			n.bulkQueue = n.bulkQueue[1:]
 			continue
 		}
-		n.convertKey(replyTo, m.Req, shard, key, m.From, m.To)
+		key := bc.keys[bc.next]
+		bc.next++
+		n.launchBulkKey(bc, key)
 	}
 }
 
+// launchBulkKey runs the deferred launch of one queued key. The node may
+// have stopped serving or lost the shard since the scan: the key and
+// every key still queued behind it then answer StRetry, and the client
+// retries the bulk against the current configuration. A key deleted
+// since the scan is skipped without counting as a failure.
+func (n *Node) launchBulkKey(bc *bulkConvert, key string) {
+	if !n.serving || len(n.cfg.Coords) == 0 || !n.coordinates(n.shardOf(key)) {
+		if bc.failed == proto.StOK {
+			bc.failed = proto.StRetry
+		}
+		bc.next = len(bc.keys)
+		n.maybeFinishBulk(bc)
+		return
+	}
+	shard := n.shardOf(key)
+	ref, found := n.volFor(shard).Highest(key)
+	if e := n.lookupEntry(shard, key, ref); !found || e == nil || e.Rec.Tombstone {
+		n.maybeFinishBulk(bc)
+		return
+	}
+	bc.inflight++
+	n.bulkOpen++
+	replyTo := bulkConvPrefix + bc.id
+	if n.parkOnConvert(shard, key, replyTo, &proto.Convert{Req: bc.req, Key: key, From: bc.from, To: bc.to}) {
+		return
+	}
+	n.convertKey(replyTo, bc.req, shard, key, bc.from, bc.to)
+}
+
 // bulkConvertDone records one key's outcome against its bulk convert
-// and emits the aggregated reply when the last key settles. Keys
-// already under the destination scheme count as converted; the first
-// non-OK status wins the aggregate (individual keys may still have
-// converted — Converted reports how many).
+// and frees the key's window slot; replyStatus calls it for every
+// bulk-launched key. Keys already under the destination scheme count
+// as converted; the first non-OK status wins the aggregate (individual
+// keys may still have converted — Converted reports how many).
 func (n *Node) bulkConvertDone(id string, s proto.Status) {
 	bc := n.bulkConverts[id]
 	if bc == nil {
@@ -317,11 +379,18 @@ func (n *Node) bulkConvertDone(id string, s proto.Status) {
 	} else if bc.failed == proto.StOK {
 		bc.failed = s
 	}
-	bc.outstanding--
-	if bc.outstanding > 0 {
+	bc.inflight--
+	n.bulkOpen--
+	n.maybeFinishBulk(bc)
+}
+
+// maybeFinishBulk emits the aggregated reply once every key of the bulk
+// was launched and settled.
+func (n *Node) maybeFinishBulk(bc *bulkConvert) {
+	if bc.next < len(bc.keys) || bc.inflight > 0 {
 		return
 	}
-	delete(n.bulkConverts, id)
+	delete(n.bulkConverts, bc.id)
 	n.send(bc.client, &proto.ConvertReply{Req: bc.req, Status: bc.failed, Converted: bc.converted}) //ring:ackok aggregate reply: every per-key outcome it summarizes passed its own barriers
 }
 

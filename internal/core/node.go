@@ -145,9 +145,14 @@ type Node struct {
 	// and replay when the window closes (commit or abort).
 	converting map[convKey]*convState
 	// bulkConverts aggregates in-flight prefix conversions; nextBulkID
-	// names them (node-local, never crosses the wire).
+	// names them (node-local, never crosses the wire). bulkQueue holds
+	// the ones with keys still to launch, oldest first, and bulkOpen
+	// counts the bulk-launched keys not yet settled, which pumpBulk
+	// keeps at most bulkWindow.
 	bulkConverts map[string]*bulkConvert
 	nextBulkID   uint64
+	bulkQueue    []*bulkConvert
+	bulkOpen     int
 	// pendingResize is the leader's in-flight leave fence (one at a
 	// time): the new configuration is pushed to the departing node
 	// first, and announced cluster-wide only once that node acked it
@@ -385,6 +390,7 @@ func (n *Node) HandleMessage(now time.Duration, from string, msg proto.Message) 
 	case *proto.Tick:
 		n.handleTick()
 	}
+	n.pumpBulk()
 	return n.outs
 }
 
@@ -397,6 +403,7 @@ func (n *Node) HandleTick(now time.Duration) []Out {
 	n.outs = n.outs[:0]
 	n.Metrics.Ticks.Inc()
 	n.handleTick()
+	n.pumpBulk()
 	return n.outs
 }
 

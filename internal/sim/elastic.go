@@ -35,15 +35,17 @@ const (
 )
 
 // nemesisOp is one control operation possibly spanning several
-// attempts.
+// attempts. A NemConvertAll step runs one op per shard it visits, each
+// sent to that shard's coordinator as of the attempt.
 type nemesisOp struct {
 	step     NemesisStep
+	shard    int
 	attempts int
 	done     bool
 }
 
-// nemesisAgent drives NemConvert/NemJoin/NemLeave steps. One per
-// simulation, created lazily by the first elastic step applied.
+// nemesisAgent drives NemConvert/NemConvertAll/NemJoin/NemLeave steps.
+// One per simulation, created lazily by the first elastic step applied.
 type nemesisAgent struct {
 	sim     *Sim
 	cfg     *proto.Config
@@ -76,9 +78,21 @@ func (s *Sim) elasticAgent() *nemesisAgent {
 	return s.elastic
 }
 
-// launch starts driving one elastic schedule step.
+// launch starts driving one elastic schedule step. A bulk convert
+// visits each distinct coordinator once, through the first shard it
+// owns; the prefix convert covers every shard of that node.
 func (a *nemesisAgent) launch(now time.Duration, step NemesisStep) {
-	a.attempt(now, &nemesisOp{step: step})
+	if step.Kind != NemConvertAll {
+		a.attempt(now, &nemesisOp{step: step})
+		return
+	}
+	seen := make(map[proto.NodeID]bool)
+	for shard, id := range a.cfg.Coords {
+		if !seen[id] {
+			seen[id] = true
+			a.attempt(now, &nemesisOp{step: step, shard: shard})
+		}
+	}
 }
 
 // attempt sends one try of the operation and arms its retry timer.
@@ -93,6 +107,9 @@ func (a *nemesisAgent) attempt(now time.Duration, op *nemesisOp) {
 		key := fmt.Sprintf("k%d", op.step.A)
 		msg = &proto.Convert{Req: req, Key: key, To: proto.MemgestID(op.step.B)}
 		target = a.cfg.CoordinatorOf(store.KeyHash(key))
+	case NemConvertAll:
+		msg = &proto.Convert{Req: req, To: proto.MemgestID(op.step.B), Prefix: true}
+		target = a.cfg.Coords[op.shard]
 	case NemJoin:
 		msg = &proto.Resize{Req: req, Op: proto.ResizeJoin, Node: op.step.A}
 		target = a.cfg.Leader

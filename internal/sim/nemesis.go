@@ -58,6 +58,10 @@ const (
 	NemJoin
 	// NemLeave gracefully removes node A: fence first, then announce.
 	NemLeave
+	// NemConvertAll bulk-converts every key to memgest B: the control
+	// agent sends a prefix convert to each coordinator, retrying and
+	// re-resolving per shard like client.ConvertPrefix.
+	NemConvertAll
 )
 
 // NemesisStep is one scheduled fault action.
@@ -101,6 +105,8 @@ func (st NemesisStep) String() string {
 		return fmt.Sprintf("%s:join:%d", st.At, st.A)
 	case NemLeave:
 		return fmt.Sprintf("%s:leave:%d", st.At, st.A)
+	case NemConvertAll:
+		return fmt.Sprintf("%s:convertall:%d", st.At, st.B)
 	}
 	return fmt.Sprintf("%s:unknown", st.At)
 }
@@ -192,6 +198,11 @@ func ParseSchedule(text string) (Schedule, error) {
 				st.Kind = NemLeave
 			}
 			if st.A, err = node(2); err != nil {
+				return s, err
+			}
+		case "convertall":
+			st.Kind = NemConvertAll
+			if st.B, err = node(2); err != nil {
 				return s, err
 			}
 		case "convert":
@@ -388,7 +399,7 @@ func (s Schedule) Apply(sim *Sim, faultSeed int64) {
 				sim.FailDisk(step.A, false)
 			case NemFsyncSlow:
 				sim.SlowDisk(step.A, true)
-			case NemConvert, NemJoin, NemLeave:
+			case NemConvert, NemConvertAll, NemJoin, NemLeave:
 				sim.elasticAgent().launch(now, step)
 			}
 		})

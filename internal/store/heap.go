@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"ring/internal/gf"
 )
 
 // KeyHash returns the 64-bit FNV-1a hash used for key-to-shard
@@ -206,10 +208,9 @@ func (h *BlockHeap) Write(ext Extent, val []byte) (delta []byte) {
 	b := h.localBlock(ext)
 	dst := h.blocks[b][ext.Off : ext.Off+ext.Len]
 	delta = make([]byte, len(val))
-	for i := range val {
-		delta[i] = dst[i] ^ val[i]
-		dst[i] = val[i]
-	}
+	copy(delta, dst)
+	gf.XorSlice(val, delta)
+	copy(dst, val)
 	return delta
 }
 
@@ -261,10 +262,7 @@ func (p *ParityRegion) ApplyDelta(t, off int, delta []byte) {
 	if off < 0 || off+len(delta) > int(p.blockSize) {
 		panic(fmt.Sprintf("store: parity delta [%d,%d) exceeds block size %d", off, off+len(delta), p.blockSize))
 	}
-	dst := p.blocks[t][off : off+len(delta)]
-	for i := range delta {
-		dst[i] ^= delta[i]
-	}
+	gf.XorSlice(delta, p.blocks[t][off:off+len(delta)])
 }
 
 // Block returns the live contents of parity block t.

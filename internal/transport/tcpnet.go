@@ -23,7 +23,7 @@ import (
 // reconnects.
 //
 // Send follows the package-level ownership contract: the payload is
-// copied into the frame synchronously and recycled into the buffer
+// written to the socket synchronously and recycled into the buffer
 // pool before Send returns, so callers must hand over a buffer they
 // will never touch again.
 type TCPFabric struct {
@@ -148,11 +148,13 @@ func (e *tcpEndpoint) acceptLoop() {
 func (e *tcpEndpoint) readLoop(c net.Conn) {
 	defer c.Close()
 	r := bufio.NewReaderSize(c, 64<<10)
+	from := ""
 	for {
-		from, payload, err := readFrame(r)
+		f, payload, err := readFrame(r, from)
 		if err != nil {
 			return
 		}
+		from = f
 		e.mu.Lock()
 		e.replyConns[from] = c
 		e.mu.Unlock()
@@ -165,33 +167,65 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 	}
 }
 
-func readFrame(r io.Reader) (string, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame. The header and sender address are parsed
+// in place in the reader's buffer, and the address string of the
+// previous frame (last) is reused when it repeats, as it does on every
+// frame of a connection carrying one sender. The payload lands in a
+// pooled buffer when one is large enough (the receiver recycles it with
+// ReleaseBuf once decoded) and in a fresh allocation otherwise.
+func readFrame(r *bufio.Reader, last string) (string, []byte, error) {
+	hdr, err := r.Peek(6)
+	if err != nil {
 		return "", nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr[:4])
 	if n < 2 || n > 64<<20 {
 		return "", nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return "", nil, err
-	}
-	alen := int(binary.BigEndian.Uint16(frame[:2]))
-	if 2+alen > len(frame) {
+	alen := int(binary.BigEndian.Uint16(hdr[4:]))
+	if 2+uint32(alen) > n {
 		return "", nil, fmt.Errorf("transport: bad address length %d", alen)
 	}
-	return string(frame[2 : 2+alen]), frame[2+alen:], nil
+	if _, err := r.Discard(6); err != nil {
+		return "", nil, err
+	}
+	// The reader's buffer is 64 KiB, so any 16-bit address fits a Peek.
+	ab, err := r.Peek(alen)
+	if err != nil {
+		return "", nil, err
+	}
+	from := last
+	if string(ab) != last {
+		from = string(ab)
+	}
+	if _, err := r.Discard(alen); err != nil {
+		return "", nil, err
+	}
+	plen := int(n) - 2 - alen
+	payload := AcquireBuf()
+	if cap(payload) < plen {
+		ReleaseBuf(payload)
+		payload = make([]byte, plen)
+	}
+	payload = payload[:plen]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		ReleaseBuf(payload)
+		return "", nil, err
+	}
+	return from, payload, nil
 }
 
+// writeFrame writes header and payload with one vectored write (writev
+// on a TCP socket), so the payload is never copied into a staging
+// frame. A TCP connection holds its write lock for the whole writev, so
+// frames written concurrently to one connection never interleave.
 func writeFrame(c net.Conn, from string, payload []byte) error {
-	buf := make([]byte, 4+2+len(from)+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(2+len(from)+len(payload)))
-	binary.BigEndian.PutUint16(buf[4:], uint16(len(from)))
-	copy(buf[6:], from)
-	copy(buf[6+len(from):], payload)
-	_, err := c.Write(buf)
+	hdr := make([]byte, 6+len(from))
+	binary.BigEndian.PutUint32(hdr, uint32(2+len(from)+len(payload)))
+	binary.BigEndian.PutUint16(hdr[4:], uint16(len(from)))
+	copy(hdr[6:], from)
+	bufs := net.Buffers{hdr, payload}
+	_, err := bufs.WriteTo(c)
 	return err
 }
 
@@ -259,9 +293,8 @@ func (e *tcpEndpoint) transmit(to string, payload []byte) error {
 	} else {
 		Metrics.SendErrors.Inc()
 	}
-	// The frame write staged its own copy; the caller's payload is
-	// transport-owned now (package ownership contract) and can be
-	// recycled either way.
+	// The frame write is done with the payload; it is transport-owned
+	// now (package ownership contract) and can be recycled either way.
 	ReleaseBuf(payload)
 	if err != nil {
 		// Connection broke: forget it so the next send re-dials.
