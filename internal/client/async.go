@@ -4,17 +4,17 @@ package client
 // request and return immediately with a future, so a single client
 // keeps many requests in flight over the fabric — the pipelining the
 // paper's throughput experiments (Fig 9, Table 1) rely on. Each
-// in-flight operation runs the same timeout + re-resolve retry state
-// machine as the synchronous API (which is just issue-then-Wait, a
-// pipeline of depth one), multiplexed over the client's single
-// endpoint by the waiter map. The Pipeline helper bounds the number
-// of outstanding operations and aggregates completions for bulk
-// loads and benchmarks.
+// in-flight operation runs the synchronous API's retry loop
+// (Client.run) on its own goroutine, multiplexed over the client's
+// single endpoint by the protocol core's reply correlation. The
+// Pipeline helper bounds the number of outstanding operations and
+// aggregates completions for bulk loads and benchmarks.
 
 import (
 	"sync"
 	"sync/atomic"
 
+	"ring/internal/client/protocol"
 	"ring/internal/proto"
 	"ring/internal/transport"
 )
@@ -37,23 +37,21 @@ func (f *future) wait() (proto.Message, error) {
 // futures, and pipeline workers.
 
 func (c *Client) doPutOp(key string, value []byte, mg proto.MemgestID) (proto.Message, error) {
-	return c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message {
-			return &proto.Put{Req: req, Key: key, Value: value, Memgest: mg}
-		},
-		func(m proto.Message) proto.Status { return m.(*proto.PutReply).Status })
+	return c.do(protocol.Key(key), func(req proto.ReqID) proto.Message {
+		return &proto.Put{Req: req, Key: key, Value: value, Memgest: mg}
+	})
 }
 
 func (c *Client) doGetOp(key string, ver proto.Version) (proto.Message, error) {
-	return c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message { return &proto.Get{Req: req, Key: key, Version: ver} },
-		func(m proto.Message) proto.Status { return m.(*proto.GetReply).Status })
+	return c.do(protocol.Key(key), func(req proto.ReqID) proto.Message {
+		return &proto.Get{Req: req, Key: key, Version: ver}
+	})
 }
 
 func (c *Client) doDeleteOp(key string) (proto.Message, error) {
-	return c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message { return &proto.Delete{Req: req, Key: key} },
-		func(m proto.Message) proto.Status { return m.(*proto.DeleteReply).Status })
+	return c.do(protocol.Key(key), func(req proto.ReqID) proto.Message {
+		return &proto.Delete{Req: req, Key: key}
+	})
 }
 
 // startOp issues one operation asynchronously on its own goroutine.
@@ -76,10 +74,10 @@ type PutFuture struct{ f *future }
 func (f *PutFuture) Wait() (proto.Version, error) { return putResult(f.f.wait()) }
 
 func putResult(m proto.Message, err error) (proto.Version, error) {
+	r, err := as[*proto.PutReply](m, err)
 	if err != nil {
 		return 0, err
 	}
-	r := m.(*proto.PutReply)
 	if r.Status != proto.StOK {
 		return 0, r.Status.Err()
 	}
@@ -94,10 +92,10 @@ type GetFuture struct{ f *future }
 func (f *GetFuture) Wait() ([]byte, proto.Version, error) { return getResult(f.f.wait()) }
 
 func getResult(m proto.Message, err error) ([]byte, proto.Version, error) {
+	r, err := as[*proto.GetReply](m, err)
 	if err != nil {
 		return nil, 0, err
 	}
-	r := m.(*proto.GetReply)
 	switch r.Status {
 	case proto.StOK:
 		return r.Value, r.Version, nil
@@ -115,10 +113,10 @@ type DeleteFuture struct{ f *future }
 func (f *DeleteFuture) Wait() error { return deleteResult(f.f.wait()) }
 
 func deleteResult(m proto.Message, err error) error {
+	r, err := as[*proto.DeleteReply](m, err)
 	if err != nil {
 		return err
 	}
-	r := m.(*proto.DeleteReply)
 	if r.Status == proto.StNotFound {
 		return ErrNotFound
 	}

@@ -1,8 +1,9 @@
-// Package client implements the synchronous Ring client: the
-// key-to-node routing of Section 5.1 (i = h(key) mod s), request/reply
-// correlation, and the timeout + re-resolve fallback of Section 5.5
-// (clients that get no answer re-discover the configuration and retry
-// against the node now responsible for the key).
+// Package client is the live Ring client. The request state machine —
+// the key-to-node routing of Section 5.1 (i = h(key) mod s), request
+// ids and reply correlation, and the timeout + re-resolve fallback of
+// Section 5.5 — is internal/client/protocol; this package drives it
+// over a transport endpoint with one receive goroutine, runtime timers,
+// and a synchronous re-resolve that asks every node.
 package client
 
 import (
@@ -12,9 +13,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ring/internal/client/protocol"
 	"ring/internal/core"
 	"ring/internal/proto"
-	"ring/internal/store"
 	"ring/internal/transport"
 )
 
@@ -37,7 +38,7 @@ func (o Options) defaults() Options {
 }
 
 // ErrTimeout is returned when a request exhausted its retries.
-var ErrTimeout = errors.New("client: request timed out")
+var ErrTimeout = protocol.ErrTimeout
 
 // ErrNotFound is returned by Get/Delete/Move for missing keys.
 var ErrNotFound = errors.New("client: key not found")
@@ -46,15 +47,13 @@ var clientSeq atomic.Uint64
 
 // Client is a synchronous Ring client. It is safe for concurrent use.
 type Client struct {
-	opts Options
-	ep   transport.Endpoint
+	ep transport.Endpoint
 
-	mu      sync.Mutex
-	cfg     *proto.Config
-	nextReq uint64
-	waiters map[proto.ReqID]chan proto.Message
+	mu   sync.Mutex
+	core *protocol.Core
 
-	closed chan struct{}
+	closeOnce sync.Once
+	closed    chan struct{}
 }
 
 // Dial registers a client endpoint on the fabric and fetches the
@@ -65,12 +64,16 @@ func Dial(fabric transport.Fabric, bootstrap []string, opts Options) (*Client, e
 	if err != nil {
 		return nil, err
 	}
+	opts = opts.defaults()
 	c := &Client{
-		opts:    opts.defaults(),
-		ep:      ep,
-		nextReq: 1,
-		waiters: make(map[proto.ReqID]chan proto.Message),
-		closed:  make(chan struct{}),
+		ep: ep,
+		core: protocol.New(nil, protocol.Policy{
+			Timeout:  opts.Timeout,
+			Attempts: opts.Retries + 1,
+			// Brief backoff: the cluster may be mid-reconfiguration.
+			Backoff: func(n int, _ bool) time.Duration { return time.Duration(n) * 10 * time.Millisecond },
+		}),
+		closed: make(chan struct{}),
 	}
 	go c.recvLoop()
 	if err := c.resolve(bootstrap); err != nil {
@@ -80,24 +83,24 @@ func Dial(fabric transport.Fabric, bootstrap []string, opts Options) (*Client, e
 	return c, nil
 }
 
-// Close releases the client endpoint.
+// Close releases the client endpoint. Later and concurrent calls are
+// no-ops.
 func (c *Client) Close() {
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
-	close(c.closed)
-	c.ep.Close()
+	c.closeOnce.Do(func() {
+		close(c.closed)
+		c.ep.Close()
+	})
 }
 
 // Config returns the client's current view of the cluster.
 func (c *Client) Config() *proto.Config {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cfg
+	return c.core.Config()
 }
 
+// recvLoop hands every reply to the core and wakes the operation it
+// belongs to.
 func (c *Client) recvLoop() {
 	for {
 		p, err := c.ep.Recv()
@@ -105,22 +108,22 @@ func (c *Client) recvLoop() {
 			return
 		}
 		// Servers coalesce replies bound for the same client into one
-		// TBatch packet; deliver each to its waiter.
+		// TBatch packet; deliver each to its operation.
 		_ = proto.ForEachPacked(p.Payload, func(enc []byte) error {
 			msg, err := proto.Decode(enc)
 			if err != nil {
 				return nil
 			}
-			req, ok := requestID(msg)
-			if !ok {
-				return nil
-			}
 			c.mu.Lock()
-			ch := c.waiters[req]
-			delete(c.waiters, req)
+			op, st := c.core.Reply(msg)
 			c.mu.Unlock()
-			if ch != nil {
-				ch <- msg
+			if op != nil {
+				// A wake already pending covers this one: the waiter
+				// re-reads the op's state (see run).
+				select {
+				case op.Ctx.(chan protocol.Step) <- st:
+				default:
+				}
 			}
 			return nil
 		})
@@ -128,187 +131,132 @@ func (c *Client) recvLoop() {
 	}
 }
 
-// requestID extracts the correlation id from a reply message.
-func requestID(m proto.Message) (proto.ReqID, bool) {
-	switch r := m.(type) {
-	case *proto.PutReply:
-		return r.Req, true
-	case *proto.GetReply:
-		return r.Req, true
-	case *proto.DeleteReply:
-		return r.Req, true
-	case *proto.MoveReply:
-		return r.Req, true
-	case *proto.MemgestReply:
-		return r.Req, true
-	case *proto.ResolveReply:
-		return r.Req, true
-	case *proto.ConvertReply:
-		return r.Req, true
-	case *proto.ResizeReply:
-		return r.Req, true
-	}
-	return 0, false
-}
-
-// call sends a request to `to` and waits for the matching reply.
 // timerPool recycles timeout timers across calls: time.After would
 // leave a live runtime timer behind for the full timeout after every
 // completed request, which at pipelined rates means thousands of
-// orphaned timers churning the timer heap.
-var timerPool sync.Pool
+// orphaned timers churning the timer heap. Pooled timers are stopped
+// and drained.
+var timerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
-func acquireTimer(d time.Duration) *time.Timer {
-	if t, _ := timerPool.Get().(*time.Timer); t != nil {
-		t.Reset(d)
-		return t
-	}
-	return time.NewTimer(d)
-}
-
-func releaseTimer(t *time.Timer) {
+func stopTimer(t *time.Timer) {
 	if !t.Stop() {
 		select {
 		case <-t.C:
 		default:
 		}
 	}
-	timerPool.Put(t)
 }
 
-func (c *Client) call(to string, req proto.ReqID, msg proto.Message) (proto.Message, error) {
-	ch := make(chan proto.Message, 1)
+// do runs one request (see run), counted as one operation.
+func (c *Client) do(target protocol.Target, build func(proto.ReqID) proto.Message) (proto.Message, error) {
+	Metrics.Requests.Inc()
+	return c.run(&protocol.Op{Target: target, Build: build})
+}
+
+// run drives op to completion on the calling goroutine: it sends each
+// attempt the core routes, waits for a reply, the attempt's timeout or
+// a backoff, and re-resolves before every retry. It is the one retry
+// loop behind every request the client sends.
+func (c *Client) run(op *protocol.Op) (proto.Message, error) {
+	wake := make(chan protocol.Step, 1)
+	op.Ctx = wake
 	c.mu.Lock()
-	c.waiters[req] = ch
+	s := c.core.Attempt(op)
 	c.mu.Unlock()
-	cleanup := func() {
+	t := timerPool.Get().(*time.Timer)
+	defer func() {
+		stopTimer(t)
+		timerPool.Put(t)
+	}()
+	for {
+		cur := op.Attempt()
+		st := protocol.Step{Action: protocol.Arm, Timer: s.Timer}
+		err := s.Err
+		if err == nil {
+			err = c.ep.Send(s.To, proto.AppendEncode(transport.AcquireBuf(), s.Msg))
+		}
+		if err != nil {
+			c.mu.Lock()
+			st = c.core.Fail(op, err)
+			c.mu.Unlock()
+		}
+		for st.Action == protocol.Arm {
+			tm := st.Timer
+			stopTimer(t)
+			t.Reset(tm.After)
+			for waiting := true; waiting; {
+				select {
+				case w := <-wake:
+					// A retry status from an earlier attempt is stale.
+					if w.Action != protocol.Arm || w.Timer.Attempt == cur {
+						st, waiting = w, false
+					}
+				case <-t.C:
+					if !tm.Backoff {
+						Metrics.Timeouts.Inc()
+					}
+					c.mu.Lock()
+					st = c.core.Expire(op, tm)
+					c.mu.Unlock()
+					waiting = false
+				case <-c.closed:
+					return nil, transport.ErrClosed
+				}
+			}
+		}
+		if st.Action != protocol.Retry {
+			// Finished, or None: a timer went stale because a reply
+			// completed the op while its wake was coalesced.
+			c.mu.Lock()
+			reply, err := op.Result()
+			c.mu.Unlock()
+			return reply, err
+		}
+		Metrics.Retries.Inc()
+		_ = c.resolve(nil)
 		c.mu.Lock()
-		delete(c.waiters, req)
+		s = c.core.Attempt(op)
 		c.mu.Unlock()
 	}
-	if err := c.ep.Send(to, proto.AppendEncode(transport.AcquireBuf(), msg)); err != nil {
-		cleanup()
-		return nil, err
-	}
-	t := acquireTimer(c.opts.Timeout)
-	defer releaseTimer(t)
-	select {
-	case reply := <-ch:
-		return reply, nil
-	case <-t.C:
-		Metrics.Timeouts.Inc()
-		cleanup()
-		return nil, ErrTimeout
-	case <-c.closed:
-		cleanup()
-		return nil, transport.ErrClosed
-	}
 }
 
-func (c *Client) reqID() proto.ReqID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := proto.ReqID(c.nextReq)
-	c.nextReq++
-	return r
-}
-
-// resolve queries the given addresses (or every node of the last known
-// config) for the freshest configuration — the client-side analogue of
-// the paper's multicast re-discovery.
+// resolve asks the given addresses (or every node of the last known
+// config), one at a time, for their configuration — the client-side
+// analogue of the paper's multicast re-discovery. The core adopts every
+// answer not older than its view; resolve fails only if none answered.
 func (c *Client) resolve(addrs []string) error {
 	Metrics.Resolves.Inc()
 	if addrs == nil {
-		c.mu.Lock()
-		if c.cfg != nil {
-			for _, id := range c.cfg.AllNodes() {
+		if cfg := c.Config(); cfg != nil {
+			for _, id := range cfg.AllNodes() {
 				addrs = append(addrs, core.NodeAddr(id))
 			}
 		}
-		c.mu.Unlock()
 	}
-	var best *proto.Config
+	answered := false
 	for _, a := range addrs {
-		req := c.reqID()
-		reply, err := c.call(a, req, &proto.Resolve{Req: req})
-		if err != nil {
-			continue
-		}
-		rr, ok := reply.(*proto.ResolveReply)
-		if !ok {
-			continue
-		}
-		if best == nil || rr.Config.Epoch > best.Epoch {
-			best = rr.Config
-		}
+		_, err := c.run(&protocol.Op{Target: protocol.Addr(a), Build: newResolve})
+		answered = answered || err == nil
 	}
-	if best == nil {
+	if !answered {
 		return fmt.Errorf("client: no node answered resolve")
 	}
-	c.mu.Lock()
-	c.cfg = best
-	c.mu.Unlock()
 	return nil
 }
 
-func (c *Client) coordinatorFor(key string) (string, error) {
-	c.mu.Lock()
-	cfg := c.cfg
-	c.mu.Unlock()
-	if cfg == nil || cfg.Shards() == 0 {
-		return "", fmt.Errorf("client: no configuration")
-	}
-	return core.NodeAddr(cfg.CoordinatorOf(store.KeyHash(key))), nil
-}
+func newResolve(req proto.ReqID) proto.Message { return &proto.Resolve{Req: req} }
 
-func (c *Client) leaderAddr() (string, error) {
-	c.mu.Lock()
-	cfg := c.cfg
-	c.mu.Unlock()
-	if cfg == nil {
-		return "", fmt.Errorf("client: no configuration")
+// as narrows a request's reply to the type its request expects.
+func as[T proto.Message](m proto.Message, err error) (T, error) {
+	r, ok := m.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("client: unexpected reply %T", m)
 	}
-	return core.NodeAddr(cfg.Leader), nil
-}
-
-// retryStatus reports whether a status warrants re-resolving and
-// retrying.
-func retryStatus(s proto.Status) bool {
-	return s == proto.StWrongNode || s == proto.StRetry || s == proto.StUnavailable
-}
-
-// doKeyOp runs a key-routed request with timeout/wrong-node retry.
-func (c *Client) doKeyOp(key string, build func(proto.ReqID) proto.Message, status func(proto.Message) proto.Status) (proto.Message, error) {
-	Metrics.Requests.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			Metrics.Retries.Inc()
-			_ = c.resolve(nil)
-			// Brief backoff: the cluster may be mid-reconfiguration.
-			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-		}
-		to, err := c.coordinatorFor(key)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		req := c.reqID()
-		reply, err := c.call(to, req, build(req))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if s := status(reply); retryStatus(s) {
-			lastErr = s.Err()
-			continue
-		}
-		return reply, nil
-	}
-	if lastErr == nil {
-		lastErr = ErrTimeout
-	}
-	return nil, lastErr
+	return r, err
 }
 
 // Put stores value under key in the cluster's default memgest.
@@ -316,10 +264,9 @@ func (c *Client) Put(key string, value []byte) (proto.Version, error) {
 	return c.PutIn(key, value, 0)
 }
 
-// PutIn stores value under key in a specific memgest. It is the
-// one-deep special case of the asynchronous path: issue, then wait.
+// PutIn stores value under key in a specific memgest.
 func (c *Client) PutIn(key string, value []byte, mg proto.MemgestID) (proto.Version, error) {
-	return c.PutInAsync(key, value, mg).Wait()
+	return putResult(c.doPutOp(key, value, mg))
 }
 
 // Get fetches the newest committed value of key.
@@ -332,118 +279,77 @@ func (c *Client) Get(key string) ([]byte, proto.Version, error) {
 // KeepVersions > 0 — e.g. the durable copy a key had before being
 // moved to the unreliable memgest.
 func (c *Client) GetVersion(key string, ver proto.Version) ([]byte, proto.Version, error) {
-	return c.GetVersionAsync(key, ver).Wait()
+	return getResult(c.doGetOp(key, ver))
 }
 
 // Delete removes key.
 func (c *Client) Delete(key string) error {
-	return c.DeleteAsync(key).Wait()
+	return deleteResult(c.doDeleteOp(key))
 }
 
 // Move transfers key to another memgest without resending its value.
 func (c *Client) Move(key string, mg proto.MemgestID) (proto.Version, error) {
-	reply, err := c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message { return &proto.Move{Req: req, Key: key, Memgest: mg} },
-		func(m proto.Message) proto.Status { return m.(*proto.MoveReply).Status })
+	r, err := as[*proto.MoveReply](c.do(protocol.Key(key), func(req proto.ReqID) proto.Message {
+		return &proto.Move{Req: req, Key: key, Memgest: mg}
+	}))
 	if err != nil {
 		return 0, err
 	}
-	r := reply.(*proto.MoveReply)
 	if r.Status == proto.StNotFound {
 		return 0, ErrNotFound
 	}
 	return r.Version, r.Status.Err()
 }
 
-// doLeaderOp runs a leader-routed management request.
-func (c *Client) doLeaderOp(build func(proto.ReqID) proto.Message) (*proto.MemgestReply, error) {
-	Metrics.Requests.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			Metrics.Retries.Inc()
-			_ = c.resolve(nil)
-			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-		}
-		to, err := c.leaderAddr()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		req := c.reqID()
-		reply, err := c.call(to, req, build(req))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r, ok := reply.(*proto.MemgestReply)
-		if !ok {
-			lastErr = fmt.Errorf("client: unexpected reply %T", reply)
-			continue
-		}
-		if retryStatus(r.Status) {
-			lastErr = r.Status.Err()
-			continue
-		}
-		return r, nil
+// leaderOp runs a leader-routed management request; a non-OK status
+// is its error. refresh re-resolves after a success, for requests that
+// change the configuration (so later puts route into a new scheme).
+func (c *Client) leaderOp(refresh bool, build func(proto.ReqID) proto.Message) (*proto.MemgestReply, error) {
+	r, err := as[*proto.MemgestReply](c.do(protocol.Leader(), build))
+	if err == nil {
+		err = r.Status.Err()
 	}
-	if lastErr == nil {
-		lastErr = ErrTimeout
+	if err == nil && refresh {
+		_ = c.resolve(nil)
 	}
-	return nil, lastErr
+	return r, err
 }
 
 // CreateMemgest instantiates a new storage scheme and returns its ID.
 func (c *Client) CreateMemgest(sc proto.Scheme) (proto.MemgestID, error) {
-	r, err := c.doLeaderOp(func(req proto.ReqID) proto.Message {
+	r, err := c.leaderOp(true, func(req proto.ReqID) proto.Message {
 		return &proto.CreateMemgest{Req: req, Scheme: sc}
 	})
 	if err != nil {
 		return 0, err
 	}
-	if r.Status != proto.StOK {
-		return 0, r.Status.Err()
-	}
-	// Refresh the config so subsequent puts route into the new scheme.
-	_ = c.resolve(nil)
 	return r.Memgest, nil
 }
 
 // DeleteMemgest removes a memgest.
 func (c *Client) DeleteMemgest(id proto.MemgestID) error {
-	r, err := c.doLeaderOp(func(req proto.ReqID) proto.Message {
+	_, err := c.leaderOp(true, func(req proto.ReqID) proto.Message {
 		return &proto.DeleteMemgest{Req: req, Memgest: id}
 	})
-	if err != nil {
-		return err
-	}
-	_ = c.resolve(nil)
-	return r.Status.Err()
+	return err
 }
 
 // SetDefaultMemgest selects the memgest for puts without an explicit
 // scheme.
 func (c *Client) SetDefaultMemgest(id proto.MemgestID) error {
-	r, err := c.doLeaderOp(func(req proto.ReqID) proto.Message {
+	_, err := c.leaderOp(true, func(req proto.ReqID) proto.Message {
 		return &proto.SetDefault{Req: req, Memgest: id}
 	})
-	if err != nil {
-		return err
-	}
-	_ = c.resolve(nil)
-	return r.Status.Err()
+	return err
 }
 
 // GetMemgestDescriptor fetches a memgest's scheme.
 func (c *Client) GetMemgestDescriptor(id proto.MemgestID) (proto.Scheme, error) {
-	r, err := c.doLeaderOp(func(req proto.ReqID) proto.Message {
+	r, err := c.leaderOp(false, func(req proto.ReqID) proto.Message {
 		return &proto.GetDescriptor{Req: req, Memgest: id}
 	})
 	if err != nil {
 		return proto.Scheme{}, err
-	}
-	if r.Status != proto.StOK {
-		return proto.Scheme{}, r.Status.Err()
 	}
 	return r.Scheme, nil
 }

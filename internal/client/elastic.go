@@ -2,9 +2,8 @@ package client
 
 import (
 	"fmt"
-	"time"
 
-	"ring/internal/core"
+	"ring/internal/client/protocol"
 	"ring/internal/proto"
 )
 
@@ -15,15 +14,12 @@ import (
 // the source copy was purged — the transition window the coordinator
 // holds open is invisible here beyond latency.
 func (c *Client) Convert(key string, from, to proto.MemgestID) (proto.Version, error) {
-	reply, err := c.doKeyOp(key,
-		func(req proto.ReqID) proto.Message {
-			return &proto.Convert{Req: req, Key: key, From: from, To: to}
-		},
-		func(m proto.Message) proto.Status { return m.(*proto.ConvertReply).Status })
+	r, err := as[*proto.ConvertReply](c.do(protocol.Key(key), func(req proto.ReqID) proto.Message {
+		return &proto.Convert{Req: req, Key: key, From: from, To: to}
+	}))
 	if err != nil {
 		return 0, err
 	}
-	r := reply.(*proto.ConvertReply)
 	if r.Status == proto.StNotFound {
 		return 0, ErrNotFound
 	}
@@ -50,101 +46,49 @@ func (c *Client) ConvertPrefix(prefix string, from, to proto.MemgestID) (int, er
 		if done[shard] {
 			continue
 		}
-		var lastErr error
-		ok := false
-		for attempt := 0; attempt <= c.opts.Retries && !ok; attempt++ {
-			if attempt > 0 {
-				Metrics.Retries.Inc()
-				_ = c.resolve(nil)
-				time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-				cfg = c.Config()
-			}
-			id := cfg.Coords[shard]
-			req := c.reqID()
-			reply, err := c.call(core.NodeAddr(id), req,
-				&proto.Convert{Req: req, Key: prefix, From: from, To: to, Prefix: true})
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			r, isConv := reply.(*proto.ConvertReply)
-			if !isConv {
-				lastErr = fmt.Errorf("client: unexpected reply %T", reply)
-				continue
-			}
-			if retryStatus(r.Status) {
-				lastErr = r.Status.Err()
-				continue
-			}
-			if err := r.Status.Err(); err != nil {
-				return total, err
-			}
-			total += int(r.Converted)
-			for s, owner := range cfg.Coords {
-				if owner == id && s < len(done) {
-					done[s] = true
-				}
-			}
-			ok = true
+		op := &protocol.Op{Target: protocol.Shard(shard), Build: func(req proto.ReqID) proto.Message {
+			return &proto.Convert{Req: req, Key: prefix, From: from, To: to, Prefix: true}
+		}}
+		r, err := as[*proto.ConvertReply](c.run(op))
+		if err == nil {
+			err = r.Status.Err()
 		}
-		if !ok {
-			if lastErr == nil {
-				lastErr = ErrTimeout
+		if err != nil {
+			return total, err
+		}
+		total += int(r.Converted)
+		cfg = c.Config()
+		for s, owner := range cfg.Coords {
+			if owner == cfg.Coords[shard] && s < len(done) {
+				done[s] = true
 			}
-			return total, lastErr
 		}
 	}
 	return total, nil
 }
 
-// doResize runs a leader-routed membership request.
-func (c *Client) doResize(op proto.ResizeOp, node proto.NodeID) (*proto.ResizeReply, error) {
-	Metrics.Requests.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			Metrics.Retries.Inc()
-			_ = c.resolve(nil)
-			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
-		}
-		to, err := c.leaderAddr()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		req := c.reqID()
-		reply, err := c.call(to, req, &proto.Resize{Req: req, Op: op, Node: node})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		r, ok := reply.(*proto.ResizeReply)
-		if !ok {
-			lastErr = fmt.Errorf("client: unexpected reply %T", reply)
-			continue
-		}
-		if retryStatus(r.Status) {
-			lastErr = r.Status.Err()
-			continue
-		}
-		return r, nil
+// resize runs a leader-routed membership request, then refreshes the
+// client's view of the changed configuration.
+func (c *Client) resize(op proto.ResizeOp, node proto.NodeID) (*proto.ResizeReply, error) {
+	r, err := as[*proto.ResizeReply](c.do(protocol.Leader(), func(req proto.ReqID) proto.Message {
+		return &proto.Resize{Req: req, Op: op, Node: node}
+	}))
+	if err != nil {
+		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = ErrTimeout
-	}
-	return nil, lastErr
+	_ = c.resolve(nil)
+	return r, r.Status.Err()
 }
 
 // ResizeJoin admits node into the cluster as a spare (quarantine-then-
 // announce: the node must be running and rejoining). Idempotent.
 // Returns the epoch of the configuration that includes the node.
 func (c *Client) ResizeJoin(node proto.NodeID) (proto.Epoch, error) {
-	r, err := c.doResize(proto.ResizeJoin, node)
-	if err != nil {
+	r, err := c.resize(proto.ResizeJoin, node)
+	if r == nil {
 		return 0, err
 	}
-	_ = c.resolve(nil)
-	return r.Epoch, r.Status.Err()
+	return r.Epoch, err
 }
 
 // ResizeLeave gracefully removes node: the leader fences it behind a
@@ -153,10 +97,9 @@ func (c *Client) ResizeJoin(node proto.NodeID) (proto.Epoch, error) {
 // of placement slots that actually moved (the minimal-movement
 // metric) and the new epoch.
 func (c *Client) ResizeLeave(node proto.NodeID) (int, proto.Epoch, error) {
-	r, err := c.doResize(proto.ResizeLeave, node)
-	if err != nil {
+	r, err := c.resize(proto.ResizeLeave, node)
+	if r == nil {
 		return 0, 0, err
 	}
-	_ = c.resolve(nil)
-	return int(r.Moved), r.Epoch, r.Status.Err()
+	return int(r.Moved), r.Epoch, err
 }

@@ -10,6 +10,7 @@ import (
 // single wall-clock read or global-RNG draw silently desynchronizes a
 // calibrated run from its seed.
 var restrictedPkgs = []string{
+	"ring/internal/client/protocol",
 	"ring/internal/core",
 	"ring/internal/sim",
 	"ring/internal/srs",
@@ -35,7 +36,7 @@ var globalRandFuncs = map[string]bool{
 }
 
 // SimDeterminism forbids wall-clock time and global math/rand inside
-// the simulated packages (core, sim, srs): their state machines must
+// the simulated packages (client/protocol, core, sim, srs): their state machines must
 // take time as an argument (the event clock) and randomness from a
 // seeded source, so every simnet run is reproducible from its seed.
 // The deliberate real-time boundary — core's Runner, which hosts the
@@ -43,7 +44,7 @@ var globalRandFuncs = map[string]bool{
 // //ring:wallclock. Test files are exempt (they drive the harness).
 var SimDeterminism = &Analyzer{
 	Name: "simdeterminism",
-	Doc:  "no time.Now/Sleep/After or global math/rand in internal/core, internal/sim, internal/srs (use the event clock and seeded RNGs; //ring:wallclock for real-time boundaries)",
+	Doc:  "no time.Now/Sleep/After or global math/rand in internal/client/protocol, internal/core, internal/sim, internal/srs (use the event clock and seeded RNGs; //ring:wallclock for real-time boundaries)",
 	Run:  runSimDeterminism,
 }
 

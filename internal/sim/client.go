@@ -4,175 +4,173 @@ import (
 	"fmt"
 	"time"
 
-	"ring/internal/core"
+	"ring/internal/client/protocol"
 	"ring/internal/proto"
-	"ring/internal/store"
 )
+
+// coreDriver runs a client protocol core on the event loop: it puts
+// the core's requests on the fabric, arms its timers as events, and
+// hands each completed operation to done. Re-resolves ask the next
+// node round-robin and do not hold up the retry.
+type coreDriver struct {
+	sim  *Sim
+	addr string
+	core *protocol.Core
+	done func(now time.Duration, op *protocol.Op)
+}
+
+func newCoreDriver(s *Sim, addr string, cfg *proto.Config, p protocol.Policy, done func(time.Duration, *protocol.Op)) *coreDriver {
+	d := &coreDriver{sim: s, addr: addr, core: protocol.New(cfg, p), done: done}
+	s.RegisterClient(addr, d.onMessage)
+	return d
+}
+
+// simPolicy is the simulated clients' retry policy: re-send at once
+// after a timeout, wait a quarter timeout after a retry status (an
+// immediate resend to a recovering coordinator just burns attempts).
+func simPolicy(timeout time.Duration, retries int) protocol.Policy {
+	return protocol.Policy{
+		Timeout:  timeout,
+		Attempts: retries + 1,
+		Backoff: func(_ int, timedOut bool) time.Duration {
+			if timedOut {
+				return 0
+			}
+			return timeout / 4
+		},
+	}
+}
+
+func (d *coreDriver) send(now time.Duration, op *protocol.Op, s protocol.Send) {
+	d.sim.Send(d.addr, s.To, s.Msg)
+	if s.Timer.After > 0 {
+		d.arm(now, op, s.Timer)
+	}
+}
+
+func (d *coreDriver) arm(now time.Duration, op *protocol.Op, t protocol.Timer) {
+	d.sim.At(now+t.After, func(tnow time.Duration) { d.step(tnow, op, d.core.Expire(op, t)) })
+}
+
+func (d *coreDriver) step(now time.Duration, op *protocol.Op, st protocol.Step) {
+	switch st.Action {
+	case protocol.Arm:
+		d.arm(now, op, st.Timer)
+	case protocol.Retry:
+		if s, ok := d.core.Resolve(); ok {
+			d.sim.Send(d.addr, s.To, s.Msg)
+		}
+		d.send(now, op, d.core.Attempt(op))
+	case protocol.Finish:
+		d.done(now, op)
+	}
+}
+
+func (d *coreDriver) onMessage(now time.Duration, _ string, msg proto.Message) {
+	if op, st := d.core.Reply(msg); op != nil {
+		d.step(now, op, st)
+	}
+}
 
 // Client is a simulated Ring client: it routes by key hash like the
 // real client and correlates replies, but lives inside the event loop.
+// Each request is one attempt with no timeout: the first reply, of any
+// status, completes it.
 type Client struct {
-	sim     *Sim
-	addr    string
-	cfg     *proto.Config
-	nextReq proto.ReqID
-	pending map[proto.ReqID]pendingOp
-}
-
-type pendingOp struct {
-	sentAt time.Duration
-	done   func(latency time.Duration, reply proto.Message)
+	sim *Sim
+	d   *coreDriver
 }
 
 // NewClient registers a simulated client on the fabric.
 func NewClient(s *Sim, name string, cfg *proto.Config) *Client {
-	c := &Client{
-		sim:     s,
-		addr:    "client/" + name,
-		cfg:     cfg,
-		nextReq: 1,
-		pending: make(map[proto.ReqID]pendingOp),
-	}
-	s.RegisterClient(c.addr, c.onMessage)
-	return c
+	return &Client{sim: s, d: newCoreDriver(s, "client/"+name, cfg, protocol.Policy{Attempts: 1},
+		func(now time.Duration, op *protocol.Op) {
+			if reply, _ := op.Result(); reply != nil {
+				op.Ctx.(func(time.Duration, proto.Message))(now, reply)
+			}
+		})}
 }
 
 // Addr returns the client's fabric address.
-func (c *Client) Addr() string { return c.addr }
+func (c *Client) Addr() string { return c.d.addr }
 
 // SetConfig updates the client's routing view (e.g. after simulated
 // failover).
-func (c *Client) SetConfig(cfg *proto.Config) { c.cfg = cfg }
-
-func (c *Client) onMessage(now time.Duration, _ string, msg proto.Message) {
-	var req proto.ReqID
-	switch r := msg.(type) {
-	case *proto.PutReply:
-		req = r.Req
-	case *proto.GetReply:
-		req = r.Req
-	case *proto.DeleteReply:
-		req = r.Req
-	case *proto.MoveReply:
-		req = r.Req
-	case *proto.MemgestReply:
-		req = r.Req
-	case *proto.ResolveReply:
-		req = r.Req
-	default:
-		return
-	}
-	op, ok := c.pending[req]
-	if !ok {
-		return
-	}
-	delete(c.pending, req)
-	if op.done != nil {
-		op.done(now-op.sentAt, msg)
-	}
-}
-
-func (c *Client) coordAddr(key string) string {
-	return core.NodeAddr(c.cfg.CoordinatorOf(store.KeyHash(key)))
-}
+func (c *Client) SetConfig(cfg *proto.Config) { c.d.core.SetConfig(cfg) }
 
 // do sends a request at virtual time `at` and invokes done with the
-// measured latency when the reply arrives.
-func (c *Client) do(at time.Duration, to string, build func(proto.ReqID) proto.Message, done func(time.Duration, proto.Message)) {
+// measured latency when a reply of type T arrives.
+func do[T proto.Message](c *Client, at time.Duration, key string, build func(proto.ReqID) proto.Message, done func(time.Duration, T)) {
 	c.sim.At(at, func(now time.Duration) {
-		req := c.nextReq
-		c.nextReq++
-		c.pending[req] = pendingOp{sentAt: now, done: done}
-		c.sim.Send(c.addr, to, build(req))
+		op := &protocol.Op{Target: protocol.Key(key), Build: build, Ctx: func(end time.Duration, m proto.Message) {
+			if r, ok := m.(T); ok && done != nil {
+				done(end-now, r)
+			}
+		}}
+		c.d.send(now, op, c.d.core.Attempt(op))
 	})
 }
 
 // PutAt schedules a put.
 func (c *Client) PutAt(at time.Duration, key string, value []byte, mg proto.MemgestID, done func(time.Duration, *proto.PutReply)) {
-	c.do(at, c.coordAddr(key), func(req proto.ReqID) proto.Message {
+	do(c, at, key, func(req proto.ReqID) proto.Message {
 		return &proto.Put{Req: req, Key: key, Value: value, Memgest: mg}
-	}, func(lat time.Duration, m proto.Message) {
-		if r, ok := m.(*proto.PutReply); ok && done != nil {
-			done(lat, r)
-		}
-	})
+	}, done)
 }
 
 // GetAt schedules a get.
 func (c *Client) GetAt(at time.Duration, key string, done func(time.Duration, *proto.GetReply)) {
-	c.do(at, c.coordAddr(key), func(req proto.ReqID) proto.Message {
+	do(c, at, key, func(req proto.ReqID) proto.Message {
 		return &proto.Get{Req: req, Key: key}
-	}, func(lat time.Duration, m proto.Message) {
-		if r, ok := m.(*proto.GetReply); ok && done != nil {
-			done(lat, r)
-		}
-	})
+	}, done)
 }
 
 // MoveAt schedules a move.
 func (c *Client) MoveAt(at time.Duration, key string, mg proto.MemgestID, done func(time.Duration, *proto.MoveReply)) {
-	c.do(at, c.coordAddr(key), func(req proto.ReqID) proto.Message {
+	do(c, at, key, func(req proto.ReqID) proto.Message {
 		return &proto.Move{Req: req, Key: key, Memgest: mg}
-	}, func(lat time.Duration, m proto.Message) {
-		if r, ok := m.(*proto.MoveReply); ok && done != nil {
-			done(lat, r)
-		}
-	})
+	}, done)
 }
 
 // DeleteAt schedules a delete.
 func (c *Client) DeleteAt(at time.Duration, key string, done func(time.Duration, *proto.DeleteReply)) {
-	c.do(at, c.coordAddr(key), func(req proto.ReqID) proto.Message {
+	do(c, at, key, func(req proto.ReqID) proto.Message {
 		return &proto.Delete{Req: req, Key: key}
-	}, func(lat time.Duration, m proto.Message) {
-		if r, ok := m.(*proto.DeleteReply); ok && done != nil {
-			done(lat, r)
-		}
-	})
+	}, done)
+}
+
+// runUntil performs one scheduled request synchronously: it starts it
+// now and steps the simulation until its reply arrives. Only valid
+// when no other traffic is pending.
+func runUntil[T proto.Message](c *Client, what, key string, issue func(done func(time.Duration, T))) (lat time.Duration, got T, err error) {
+	ok := false
+	issue(func(l time.Duration, r T) { lat, got, ok = l, r, true })
+	for !ok && c.sim.Step() {
+	}
+	if !ok {
+		err = fmt.Errorf("sim: %s %q got no reply", what, key)
+	}
+	return lat, got, err
 }
 
 // PutSync performs a put and runs the simulation until it completes,
 // returning the latency. Only valid when no other traffic is pending.
 func (c *Client) PutSync(key string, value []byte, mg proto.MemgestID) (time.Duration, *proto.PutReply, error) {
-	var lat time.Duration
-	var reply *proto.PutReply
-	c.PutAt(c.sim.Now(), key, value, mg, func(l time.Duration, r *proto.PutReply) {
-		lat, reply = l, r
+	return runUntil(c, "put", key, func(done func(time.Duration, *proto.PutReply)) {
+		c.PutAt(c.sim.Now(), key, value, mg, done)
 	})
-	for reply == nil && c.sim.Step() {
-	}
-	if reply == nil {
-		return 0, nil, fmt.Errorf("sim: put %q got no reply", key)
-	}
-	return lat, reply, nil
 }
 
 // GetSync performs a get synchronously.
 func (c *Client) GetSync(key string) (time.Duration, *proto.GetReply, error) {
-	var lat time.Duration
-	var reply *proto.GetReply
-	c.GetAt(c.sim.Now(), key, func(l time.Duration, r *proto.GetReply) {
-		lat, reply = l, r
+	return runUntil(c, "get", key, func(done func(time.Duration, *proto.GetReply)) {
+		c.GetAt(c.sim.Now(), key, done)
 	})
-	for reply == nil && c.sim.Step() {
-	}
-	if reply == nil {
-		return 0, nil, fmt.Errorf("sim: get %q got no reply", key)
-	}
-	return lat, reply, nil
 }
 
 // MoveSync performs a move synchronously.
 func (c *Client) MoveSync(key string, mg proto.MemgestID) (time.Duration, *proto.MoveReply, error) {
-	var lat time.Duration
-	var reply *proto.MoveReply
-	c.MoveAt(c.sim.Now(), key, mg, func(l time.Duration, r *proto.MoveReply) {
-		lat, reply = l, r
+	return runUntil(c, "move", key, func(done func(time.Duration, *proto.MoveReply)) {
+		c.MoveAt(c.sim.Now(), key, mg, done)
 	})
-	for reply == nil && c.sim.Step() {
-	}
-	if reply == nil {
-		return 0, nil, fmt.Errorf("sim: move %q got no reply", key)
-	}
-	return lat, reply, nil
 }

@@ -6,20 +6,20 @@ import (
 	"sort"
 	"time"
 
-	"ring/internal/core"
+	"ring/internal/client/protocol"
 	"ring/internal/proto"
-	"ring/internal/store"
 )
 
 // This file is the control-plane side of the elasticity nemesis: a
 // deterministic agent that issues scheme conversions and join/leave
 // resizes against the simulated cluster at scheduled virtual times,
-// retrying and re-resolving through failures exactly like an operator
-// driving ringctl would. It shares the fabric with the chaos clients
-// but records nothing in the linearizability history — converts do not
-// change values and resizes do not touch data, so their correctness is
-// asserted indirectly: the client-visible history must stay
-// linearizable while placements and schemes churn underneath it.
+// retrying and re-resolving through failures with the same protocol
+// core as the ringctl an operator would drive. It shares the fabric
+// with the chaos clients but records nothing in the linearizability
+// history — converts do not change values and resizes do not touch
+// data, so their correctness is asserted indirectly: the
+// client-visible history must stay linearizable while placements and
+// schemes churn underneath it.
 
 // nemesisAddr is the control agent's client address on the fabric.
 const nemesisAddr = "client/nemesis"
@@ -34,27 +34,11 @@ const (
 	nemesisRetries = 30
 )
 
-// nemesisOp is one control operation possibly spanning several
-// attempts. A NemConvertAll step runs one op per shard it visits, each
-// sent to that shard's coordinator as of the attempt.
-type nemesisOp struct {
-	step     NemesisStep
-	shard    int
-	attempts int
-	done     bool
-}
-
-// nemesisAgent drives NemConvert/NemConvertAll/NemJoin/NemLeave steps.
-// One per simulation, created lazily by the first elastic step applied.
+// nemesisAgent drives NemConvert/NemConvertAll/NemJoin/NemLeave steps
+// through the client protocol core. One per simulation, created lazily
+// by the first elastic step applied.
 type nemesisAgent struct {
-	sim     *Sim
-	cfg     *proto.Config
-	nextReq proto.ReqID
-	// ops maps every attempt's request ID to its operation; a reply to
-	// any attempt settles the operation.
-	ops         map[proto.ReqID]*nemesisOp
-	resolveReqs map[proto.ReqID]bool
-	rr          int
+	d *coreDriver
 
 	// Acked counts control operations that reached a terminal reply;
 	// Abandoned counts those that exhausted their retries.
@@ -66,14 +50,9 @@ type nemesisAgent struct {
 // registering it on first use.
 func (s *Sim) elasticAgent() *nemesisAgent {
 	if s.elastic == nil {
-		s.elastic = &nemesisAgent{
-			sim:         s,
-			cfg:         s.cfg0.Clone(),
-			nextReq:     1,
-			ops:         make(map[proto.ReqID]*nemesisOp),
-			resolveReqs: make(map[proto.ReqID]bool),
-		}
-		s.RegisterClient(nemesisAddr, s.elastic.onMessage)
+		a := &nemesisAgent{}
+		a.d = newCoreDriver(s, nemesisAddr, s.cfg0.Clone(), simPolicy(nemesisTimeout, nemesisRetries), a.settle)
+		s.elastic = a
 	}
 	return s.elastic
 }
@@ -82,115 +61,45 @@ func (s *Sim) elasticAgent() *nemesisAgent {
 // visits each distinct coordinator once, through the first shard it
 // owns; the prefix convert covers every shard of that node.
 func (a *nemesisAgent) launch(now time.Duration, step NemesisStep) {
-	if step.Kind != NemConvertAll {
-		a.attempt(now, &nemesisOp{step: step})
-		return
+	start := func(t protocol.Target, build func(proto.ReqID) proto.Message) {
+		op := &protocol.Op{Target: t, Build: build}
+		a.d.send(now, op, a.d.core.Attempt(op))
 	}
-	seen := make(map[proto.NodeID]bool)
-	for shard, id := range a.cfg.Coords {
-		if !seen[id] {
-			seen[id] = true
-			a.attempt(now, &nemesisOp{step: step, shard: shard})
-		}
-	}
-}
-
-// attempt sends one try of the operation and arms its retry timer.
-func (a *nemesisAgent) attempt(now time.Duration, op *nemesisOp) {
-	req := a.nextReq
-	a.nextReq++
-	a.ops[req] = op
-	var msg proto.Message
-	var target proto.NodeID
-	switch op.step.Kind {
+	to := proto.MemgestID(step.B)
+	switch step.Kind {
 	case NemConvert:
-		key := fmt.Sprintf("k%d", op.step.A)
-		msg = &proto.Convert{Req: req, Key: key, To: proto.MemgestID(op.step.B)}
-		target = a.cfg.CoordinatorOf(store.KeyHash(key))
-	case NemConvertAll:
-		msg = &proto.Convert{Req: req, To: proto.MemgestID(op.step.B), Prefix: true}
-		target = a.cfg.Coords[op.shard]
-	case NemJoin:
-		msg = &proto.Resize{Req: req, Op: proto.ResizeJoin, Node: op.step.A}
-		target = a.cfg.Leader
-	case NemLeave:
-		msg = &proto.Resize{Req: req, Op: proto.ResizeLeave, Node: op.step.A}
-		target = a.cfg.Leader
-	default:
-		return
-	}
-	a.sim.Send(nemesisAddr, core.NodeAddr(target), msg)
-	att := op.attempts
-	a.sim.At(now+nemesisTimeout, func(tnow time.Duration) {
-		if !op.done && op.attempts == att {
-			a.retry(tnow, op)
-		}
-	})
-}
-
-// retry re-resolves the routing view and re-sends, or abandons the
-// operation past its attempt budget.
-func (a *nemesisAgent) retry(now time.Duration, op *nemesisOp) {
-	op.attempts++
-	if op.attempts > nemesisRetries {
-		op.done = true
-		a.Abandoned++
-		return
-	}
-	a.resolve(now)
-	a.attempt(now, op)
-}
-
-// resolve asks the next node (round-robin) for its configuration;
-// replies with a newer epoch update routing, exactly like the chaos
-// clients and the real client library.
-func (a *nemesisAgent) resolve(now time.Duration) {
-	ids := a.cfg.AllNodes()
-	if len(ids) == 0 {
-		return
-	}
-	target := ids[a.rr%len(ids)]
-	a.rr++
-	req := a.nextReq
-	a.nextReq++
-	a.resolveReqs[req] = true
-	a.sim.Send(nemesisAddr, core.NodeAddr(target), &proto.Resolve{Req: req})
-}
-
-func (a *nemesisAgent) onMessage(now time.Duration, _ string, msg proto.Message) {
-	switch r := msg.(type) {
-	case *proto.ResolveReply:
-		if a.resolveReqs[r.Req] {
-			delete(a.resolveReqs, r.Req)
-			if r.Config != nil && r.Config.Epoch >= a.cfg.Epoch {
-				a.cfg = r.Config.Clone()
-			}
-		}
-	case *proto.ConvertReply:
-		a.settle(now, r.Req, r.Status)
-	case *proto.ResizeReply:
-		a.settle(now, r.Req, r.Status)
-	}
-}
-
-// settle applies a reply: transient statuses back off and retry,
-// anything else (success or a definitive rejection such as StNotFound
-// for a key never written) ends the operation.
-func (a *nemesisAgent) settle(now time.Duration, req proto.ReqID, st proto.Status) {
-	op := a.ops[req]
-	if op == nil || op.done {
-		return
-	}
-	switch st {
-	case proto.StRetry, proto.StWrongNode, proto.StUnavailable:
-		att := op.attempts
-		a.sim.At(now+nemesisTimeout/4, func(tnow time.Duration) {
-			if !op.done && op.attempts == att {
-				a.retry(tnow, op)
-			}
+		key := fmt.Sprintf("k%d", step.A)
+		start(protocol.Key(key), func(req proto.ReqID) proto.Message {
+			return &proto.Convert{Req: req, Key: key, To: to}
 		})
-	default:
-		op.done = true
+	case NemConvertAll:
+		seen := make(map[proto.NodeID]bool)
+		for shard, id := range a.d.core.Config().Coords {
+			if !seen[id] {
+				seen[id] = true
+				start(protocol.Shard(shard), func(req proto.ReqID) proto.Message {
+					return &proto.Convert{Req: req, To: to, Prefix: true}
+				})
+			}
+		}
+	case NemJoin, NemLeave:
+		op := proto.ResizeJoin
+		if step.Kind == NemLeave {
+			op = proto.ResizeLeave
+		}
+		start(protocol.Leader(), func(req proto.ReqID) proto.Message {
+			return &proto.Resize{Req: req, Op: op, Node: step.A}
+		})
+	}
+}
+
+// settle counts a finished control operation: any terminal reply
+// (success or a definitive rejection such as StNotFound for a key
+// never written) acks it.
+func (a *nemesisAgent) settle(_ time.Duration, op *protocol.Op) {
+	if _, err := op.Result(); err != nil {
+		a.Abandoned++
+	} else {
 		a.Acked++
 	}
 }
